@@ -24,7 +24,11 @@
 //! - on a multi-core host, the parallel speedup must not regress below
 //!   90% of the value recorded by the previous multi-core run of this
 //!   bench (read from the existing `BENCH_engine.json` before it is
-//!   overwritten).
+//!   overwritten);
+//! - per-run setup, recorded (not gated) at N ∈ {10⁴, 10⁵, 10⁶} × jobs ∈
+//!   {1, 2}: `spawn_streams`, a one-epoch engine run (which replays every
+//!   agent's arrival on the pool), and dropping the streams — medians
+//!   over interleaved reps.
 //!
 //! Results land in `BENCH_engine.json` at the workspace root so CI can
 //! archive the trend. Run with `--quick` for a reduced-scale smoke pass.
@@ -33,6 +37,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, EquilibriumCache, GameConfig, MeanFieldSolver, ThresholdStrategy};
@@ -40,9 +45,10 @@ use sprint_sim::engine::{run_jobs, SimConfig, DEFAULT_CHUNK};
 use sprint_sim::policies::ThresholdPolicy;
 use sprint_sim::policy::SprintPolicy;
 use sprint_sim::telemetry::Telemetry;
-use sprint_stats::rng::seeded_rng;
+use sprint_stats::dist::ContinuousDistribution;
+use sprint_stats::rng::{seeded_rng, SeedSequence};
 use sprint_workloads::generator::Population;
-use sprint_workloads::phases::PhasedUtility;
+use sprint_workloads::phases::{PhasedUtility, DEFAULT_PERSISTENCE_EPOCHS};
 use sprint_workloads::Benchmark;
 
 /// Count allocations so the no-alloc contract is checkable from outside
@@ -108,6 +114,54 @@ fn spawn(n: usize) -> Vec<PhasedUtility> {
         .unwrap()
 }
 
+/// [`spawn`] with every agent's arrival already replayed, outside any
+/// timed window: the kernel rows time the epoch loop, and the replay is
+/// timed on its own in the setup rows.
+fn spawn_arrived(n: usize) -> Vec<PhasedUtility> {
+    let mut streams = spawn(n);
+    for s in &mut streams {
+        let phase = s.phase_value();
+        s.sync_phase(phase);
+    }
+    streams
+}
+
+/// A utility stream as the pre-SoA engine held it: its own boxed
+/// distribution and generator per agent, arrival replayed eagerly at
+/// construction (same seeds, offsets and draws as `spawn_streams`).
+struct RefStream {
+    dist: Box<dyn ContinuousDistribution>,
+    rng: StdRng,
+    current: f64,
+}
+
+impl RefStream {
+    fn spawn(n: usize) -> Vec<RefStream> {
+        let mut seq = SeedSequence::new(SEED);
+        (0..n)
+            .map(|_| {
+                let seed = seq.next_seed();
+                let dist = Benchmark::DecisionTree.speedup_distribution();
+                let mut rng = seeded_rng(seed);
+                let current = dist.sample(&mut rng);
+                let mut stream = RefStream { dist, rng, current };
+                for _ in 0..(seed >> 32) % 64 {
+                    stream.next_utility();
+                }
+                stream
+            })
+            .collect()
+    }
+
+    fn next_utility(&mut self) -> f64 {
+        let out = self.current;
+        if self.rng.gen::<f64>() < 1.0 / DEFAULT_PERSISTENCE_EPOCHS {
+            self.current = self.dist.sample(&mut self.rng);
+        }
+        out
+    }
+}
+
 fn policy_for(n: usize) -> ThresholdPolicy {
     ThresholdPolicy::uniform("E-T", ThresholdStrategy::new(5.0).unwrap(), n).unwrap()
 }
@@ -117,8 +171,9 @@ fn policy_for(n: usize) -> ThresholdPolicy {
 /// plane"): a fresh `Vec<f64>` of stream utilities per epoch, then three
 /// separate full-population passes — decide, throughput/occupancy, state
 /// transitions — each re-checking the fault overlays, with sequential
-/// `StdRng` draws for cooling exits and recovery wake-up stagger.
-fn reference_run(game: &GameConfig, streams: &mut [PhasedUtility], epochs: usize) -> f64 {
+/// `StdRng` draws for cooling exits and recovery wake-up stagger — over
+/// the per-agent streams of that engine ([`RefStream`]).
+fn reference_run(game: &GameConfig, streams: &mut [RefStream], epochs: usize) -> f64 {
     let n = streams.len();
     let curve = TripCurve::from_config(game);
     let p_cool_exit = 1.0 - game.p_cooling();
@@ -137,10 +192,7 @@ fn reference_run(game: &GameConfig, streams: &mut [PhasedUtility], epochs: usize
     let mut occ_idle = 0u64;
     for epoch in 0..epochs {
         // Phases advance in wall-clock time regardless of power state.
-        let utilities: Vec<f64> = streams
-            .iter_mut()
-            .map(PhasedUtility::next_utility)
-            .collect();
+        let utilities: Vec<f64> = streams.iter_mut().map(RefStream::next_utility).collect();
         if recovering {
             if rng.gen::<f64>() < p_recover_exit {
                 recovering = false;
@@ -245,7 +297,7 @@ fn engine_rate(n: usize, epochs: usize, jobs: usize, chunk: usize) -> (f64, Fing
     let cfg = SimConfig::new(game, epochs, SEED)
         .unwrap()
         .with_chunk_agents(chunk);
-    let mut streams = spawn(n);
+    let mut streams = spawn_arrived(n);
     let mut policy = policy_for(n);
     let started = Instant::now();
     let result = run_jobs(
@@ -275,7 +327,7 @@ fn engine_rate(n: usize, epochs: usize, jobs: usize, chunk: usize) -> (f64, Fing
 
 fn reference_rate(n: usize, epochs: usize) -> f64 {
     let game = game_for(n);
-    let mut streams = spawn(n);
+    let mut streams = RefStream::spawn(n);
     let started = Instant::now();
     let tasks = reference_run(&game, &mut streams, epochs);
     let secs = started.elapsed().as_secs_f64();
@@ -301,6 +353,52 @@ fn allocs_for(n: usize, epochs: usize, jobs: usize) -> u64 {
     )
     .unwrap();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// One rep of the per-run setup stages at `n` agents on `jobs` workers:
+/// `(spawn, one-epoch run, drop)` in milliseconds.
+fn setup_ms(n: usize, jobs: usize) -> [f64; 3] {
+    let cfg = SimConfig::new(game_for(n), 1, SEED).unwrap();
+    let mut policy = policy_for(n);
+    let started = Instant::now();
+    let mut streams = spawn(n);
+    let spawned = Instant::now();
+    run_jobs(
+        &cfg,
+        &mut streams,
+        &mut policy,
+        jobs,
+        &mut Telemetry::noop(),
+    )
+    .unwrap();
+    let ran = Instant::now();
+    drop(streams);
+    let dropped = Instant::now();
+    let ms = |a: Instant, b: Instant| (b - a).as_secs_f64() * 1e3;
+    [ms(started, spawned), ms(spawned, ran), ms(ran, dropped)]
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        0.5 * (xs[mid - 1] + xs[mid])
+    }
+}
+
+/// The host's CPU model, for the snapshot's provenance.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Mean Algorithm-1 iterations per cell over a breaker-band ladder,
@@ -472,6 +570,38 @@ fn main() {
         alloc_epochs * 2
     );
 
+    // Per-run setup: the stages a job pays outside the epoch loop. Legs
+    // interleave round-robin over the (N, jobs) grid so drift hits every
+    // cell alike; each cell reports its median.
+    let setup_reps = if quick { 3 } else { 5 };
+    let setup_jobs = [1usize, 2];
+    let mut samples = vec![Vec::new(); sizes.len() * setup_jobs.len()];
+    for _ in 0..setup_reps {
+        for (i, &n) in sizes.iter().enumerate() {
+            for (j, &jobs) in setup_jobs.iter().enumerate() {
+                samples[i * setup_jobs.len() + j].push(setup_ms(n, jobs));
+            }
+        }
+    }
+    let mut setup_rows = String::new();
+    for (cell, reps) in samples.into_iter().enumerate() {
+        let n = sizes[cell / setup_jobs.len()];
+        let jobs = setup_jobs[cell % setup_jobs.len()];
+        let stage = |k: usize| median(reps.iter().map(|r| r[k]).collect());
+        let (spawn_ms, run_ms, drop_ms) = (stage(0), stage(1), stage(2));
+        println!(
+            "  setup     N={n:>7} jobs={jobs}: spawn {spawn_ms:.2} ms, \
+             E=1 run {run_ms:.2} ms, drop {drop_ms:.2} ms"
+        );
+        if !setup_rows.is_empty() {
+            setup_rows.push_str(",\n");
+        }
+        setup_rows.push_str(&format!(
+            "    {{\"agents\": {n}, \"jobs\": {jobs}, \"spawn_ms\": {spawn_ms:.3}, \
+             \"engine_e1_ms\": {run_ms:.3}, \"drop_ms\": {drop_ms:.3}}}"
+        ));
+    }
+
     let warm_cells = if quick { 6 } else { 12 };
     let (cold_iters, warm_iters) = warm_start_ratio(warm_cells);
     let warm_ratio = cold_iters / warm_iters.max(1e-9);
@@ -486,12 +616,19 @@ fn main() {
         }
         None => "null".to_string(),
     };
+    let cpu = cpu_model();
+    let rustc = env!("SPRINT_BENCH_RUSTC");
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"jobs\": {PARALLEL_JOBS},\n  \
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \
+         \"cpu_model\": \"{cpu}\",\n  \"rustc\": \"{rustc}\",\n  \
+         \"jobs\": {PARALLEL_JOBS},\n  \
          \"chunk_agents\": {DEFAULT_CHUNK},\n  \"reps\": {reps},\n  \
          \"gate_agents\": {GATE_AGENTS},\n  \
+         \"rows_estimator\": \"best of interleaved reps\",\n  \
          \"rows\": [\n{rows}\n  ],\n  \
          \"chunk_sweep\": [\n{chunk_rows}\n  ],\n  \
+         \"setup_reps\": {setup_reps},\n  \"setup_estimator\": \"median\",\n  \
+         \"setup_rows\": [\n{setup_rows}\n  ],\n  \
          \"byte_identical_across_jobs\": true,\n  \
          \"serial_speedup\": {serial_speedup:.4},\n  \
          \"min_serial_speedup\": {MIN_SERIAL_SPEEDUP},\n  \

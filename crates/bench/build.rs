@@ -1,0 +1,13 @@
+//! Records the compiler version for the bench snapshots' provenance.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=SPRINT_BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}

@@ -53,7 +53,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -207,6 +207,11 @@ struct Shared {
     /// Ring producer for daemon-side events (recovery, shedding,
     /// queued-job cancellation) — workers each own their own segment.
     events: Mutex<RingProducer>,
+    /// Failed post-ack journal appends (`serve.journal.append_errors`).
+    journal_append_errors: AtomicU64,
+    /// Failed spool writes of finished reports
+    /// (`serve.spool.write_errors`).
+    spool_write_errors: AtomicU64,
 }
 
 impl Shared {
@@ -223,6 +228,19 @@ impl Shared {
         match &self.journal {
             Some(journal) => journal.lock().expect("journal poisoned").append(transition),
             None => Ok(()),
+        }
+    }
+
+    /// Append a transition for a job that was already acknowledged. The
+    /// client cannot be told, so a failure is logged and counted instead
+    /// of dropped; the in-memory state still advances.
+    fn journal_append_acked(&self, transition: &Transition) {
+        if let Err(e) = self.journal_append(transition) {
+            self.journal_append_errors.fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "sprint serve: job {}: journal append after ack failed: {e}",
+                transition.id()
+            );
         }
     }
 
@@ -360,7 +378,7 @@ impl Shared {
         };
         match action {
             Action::Resolve(report) => {
-                let _ = self.journal_append(&Transition::Cancelled { id });
+                self.journal_append_acked(&Transition::Cancelled { id });
                 table.queue.retain(|&queued| queued != id);
                 table.cancelled += 1;
                 if let Some(entry) = table.jobs.get_mut(&id) {
@@ -422,7 +440,7 @@ fn claim(shared: &Shared) -> Option<(u64, JobSpec, CancelToken)> {
                 // Best-effort: losing a Started record degrades a
                 // crash-time `running` job to `queued` in the replay —
                 // it re-executes either way, to identical bytes.
-                let _ = shared.journal_append(&Transition::Started { id });
+                shared.journal_append_acked(&Transition::Started { id });
                 return Some((id, spec, token));
             }
             continue;
@@ -467,7 +485,10 @@ fn finish(shared: &Shared, id: u64, completion: Completion, telemetry: &mut Tele
     // in-memory report a waiting client is about to read. Only `done`
     // reports spool — recovery adopts spooled bytes as completed work.
     if let (Some(dir), Completion::Done { report }) = (&shared.spool, &completion) {
-        let _ = std::fs::write(dir.join(format!("job-{id}.json")), report);
+        if let Err(e) = std::fs::write(dir.join(format!("job-{id}.json")), report) {
+            shared.spool_write_errors.fetch_add(1, Ordering::Relaxed);
+            eprintln!("sprint serve: job {id}: spool write failed: {e}");
+        }
     }
     let mut table = shared.table.lock().expect("job table poisoned");
     table.running -= 1;
@@ -475,14 +496,14 @@ fn finish(shared: &Shared, id: u64, completion: Completion, telemetry: &mut Tele
     match completion {
         Completion::Done { report } => {
             table.completed += 1;
-            let _ = shared.journal_append(&Transition::Done { id });
+            shared.journal_append_acked(&Transition::Done { id });
             if let Some(entry) = table.jobs.get_mut(&id) {
                 entry.state = JobState::Done { report };
             }
         }
         Completion::Failed { error } => {
             table.failed += 1;
-            let _ = shared.journal_append(&Transition::Failed {
+            shared.journal_append_acked(&Transition::Failed {
                 id,
                 error: error.clone(),
             });
@@ -492,7 +513,7 @@ fn finish(shared: &Shared, id: u64, completion: Completion, telemetry: &mut Tele
         }
         Completion::Cancelled { report } => {
             table.cancelled += 1;
-            let _ = shared.journal_append(&Transition::Cancelled { id });
+            shared.journal_append_acked(&Transition::Cancelled { id });
             if let Some(entry) = table.jobs.get_mut(&id) {
                 entry.state = JobState::Cancelled { report };
             }
@@ -500,7 +521,7 @@ fn finish(shared: &Shared, id: u64, completion: Completion, telemetry: &mut Tele
         }
         Completion::DeadlineExceeded { report, limit_ms } => {
             table.deadline_exceeded += 1;
-            let _ = shared.journal_append(&Transition::DeadlineExceeded { id, limit_ms });
+            shared.journal_append_acked(&Transition::DeadlineExceeded { id, limit_ms });
             if let Some(entry) = table.jobs.get_mut(&id) {
                 entry.state = JobState::DeadlineExceeded { report };
             }
@@ -818,6 +839,13 @@ fn handle_metrics(shared: &Shared, stream: &mut TcpStream) -> crate::Result<()> 
         let ladder = registry.gauge("serve.admission.rung");
         registry.set(ladder, f64::from(rung.level()));
     }
+    for (name, errors) in [
+        ("serve.journal.append_errors", &shared.journal_append_errors),
+        ("serve.spool.write_errors", &shared.spool_write_errors),
+    ] {
+        let counter = registry.counter(name);
+        registry.inc(counter, errors.load(Ordering::Relaxed));
+    }
     {
         let health = shared.health.lock().expect("health state poisoned");
         let published = registry.counter("serve.ring.published");
@@ -1104,6 +1132,8 @@ impl Daemon {
             limiter: Mutex::new(RateLimiter::default()),
             workers,
             events: Mutex::new(daemon_producer),
+            journal_append_errors: AtomicU64::new(0),
+            spool_write_errors: AtomicU64::new(0),
         });
         for (job, reexecuted) in recovered.announcements {
             shared.emit(&Event::JobRecovered { job, reexecuted });

@@ -224,12 +224,21 @@ fn serve_counters_export_golden_prometheus_exposition() {
     assert_eq!(status, 200);
 
     // The ring counters tick with the snapshot thread, so the golden
-    // match covers the deterministic job/admission series: counters
-    // first in sorted order, then gauges, dots mapped to underscores,
-    // `_total` suffix on counters only.
+    // match covers the deterministic job/admission/journal/spool series:
+    // counters first in sorted order, then gauges, dots mapped to
+    // underscores, `_total` suffix on counters only.
     let got: Vec<&str> = metrics
         .lines()
-        .filter(|l| l.contains("serve_jobs_") || l.contains("serve_admission_"))
+        .filter(|l| {
+            [
+                "serve_jobs_",
+                "serve_admission_",
+                "serve_journal_",
+                "serve_spool_",
+            ]
+            .iter()
+            .any(|series| l.contains(series))
+        })
         .collect();
     let want = [
         "# TYPE serve_jobs_cancelled_total counter",
@@ -250,6 +259,10 @@ fn serve_counters_export_golden_prometheus_exposition() {
         "serve_jobs_shed_total 0",
         "# TYPE serve_jobs_submitted_total counter",
         "serve_jobs_submitted_total 0",
+        "# TYPE serve_journal_append_errors_total counter",
+        "serve_journal_append_errors_total 0",
+        "# TYPE serve_spool_write_errors_total counter",
+        "serve_spool_write_errors_total 0",
         "# TYPE serve_admission_rung gauge",
         "serve_admission_rung 0",
         "# TYPE serve_jobs_pending gauge",
@@ -258,4 +271,40 @@ fn serve_counters_export_golden_prometheus_exposition() {
     assert_eq!(got, want, "full exposition:\n{metrics}");
     handle.drain().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn failed_spool_writes_are_counted_and_the_report_is_still_served() {
+    let dir = std::env::temp_dir().join(format!("sprint-serve-spool-err-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spool = dir.join("spool");
+    let handle = Daemon::start(&ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        spool: Some(spool.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon boots with a spool");
+    let addr = handle.addr().to_string();
+    // The spool directory vanishes under the running daemon: every
+    // later spool write fails.
+    std::fs::remove_dir_all(&spool).unwrap();
+
+    let body = serde_json::to_string(&quick_spec(3)).unwrap();
+    let (status, report) =
+        client::request(&addr, "POST", "/v1/jobs?wait=true", Some(&body)).unwrap();
+    assert_eq!(status, 200, "the in-memory report survives: {report}");
+
+    let (_, metrics) = client::request(&addr, "GET", "/v1/metrics", None).unwrap();
+    assert!(
+        metrics.contains("serve_spool_write_errors_total 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("serve_journal_append_errors_total 0"),
+        "{metrics}"
+    );
+    handle.drain().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,12 +42,12 @@ use std::sync::Arc;
 use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, GameConfig};
 use sprint_power::pcm::CurrentSensor;
-use sprint_stats::density::{AliasSampler, DiscreteDensity};
+use sprint_stats::density::AliasSampler;
 use sprint_stats::rng::{CounterLane, CounterRng};
 use sprint_telemetry::{
     CounterId, Event, EventKind, FaultKind, HistogramId, Registry, SeriesId, Telemetry,
 };
-use sprint_workloads::phases::PhasedUtility;
+use sprint_workloads::phases::{PhaseCohort, PhasedUtility};
 
 use crate::faults::{FaultMetrics, FaultPlan};
 use crate::metrics::{SimResult, StateOccupancy};
@@ -576,33 +576,34 @@ const PHASE_PURPOSE: u64 = 8;
 struct PhaseKernel {
     /// Counter stream per agent, rooted at the stream's seed.
     keys: Vec<CounterLane>,
-    /// `1 / ln(1 - p_resample)` per agent — the scale that turns one
-    /// uniform into a geometric phase length by inversion (`-0.0` when
-    /// `p_resample >= 1`, which correctly yields length-1 phases).
-    gap_scale: Vec<f64>,
     /// Index into `samplers` per agent (cohorts share one table, so this
     /// lane is small integers and `samplers` stays cache-hot).
     sampler_of: Vec<u32>,
-    /// One O(1) alias sampler per distinct cohort density.
+    /// One O(1) alias sampler per distinct cohort.
     samplers: Vec<AliasSampler>,
+    /// `1 / ln(1 - p_resample)` per cohort — the scale that turns one
+    /// uniform into a geometric phase length by inversion (`-0.0` when
+    /// `p_resample >= 1`, which correctly yields length-1 phases).
+    gap_scale: Vec<f64>,
 }
 
 impl PhaseKernel {
     fn new(streams: &[PhasedUtility]) -> Self {
-        // Deduplicate by shared-table identity: spawn cohorts hand every
-        // stream of a benchmark the same `Arc`, so a population has a
-        // handful of distinct tables regardless of agent count (streams
-        // built one-off each carry their own, which degrades gracefully
-        // to one sampler per agent).
-        let mut seen: std::collections::HashMap<*const DiscreteDensity, u32> =
+        // Deduplicate by cohort identity: a spawned population hands
+        // every stream of a benchmark the same `Arc`, so it has a handful
+        // of distinct cohorts regardless of agent count (streams built
+        // one-off each carry their own, which degrades gracefully to one
+        // sampler per agent).
+        let mut seen: std::collections::HashMap<*const PhaseCohort, u32> =
             std::collections::HashMap::new();
         let mut samplers = Vec::new();
+        let mut gap_scale = Vec::new();
         let sampler_of = streams
             .iter()
             .map(|s| {
-                let ptr = Arc::as_ptr(s.sample_table());
-                *seen.entry(ptr).or_insert_with(|| {
+                *seen.entry(Arc::as_ptr(s.cohort())).or_insert_with(|| {
                     samplers.push(AliasSampler::new(s.sample_table()));
+                    gap_scale.push(1.0 / (1.0 - s.resample_probability()).ln());
                     (samplers.len() - 1) as u32
                 })
             })
@@ -612,12 +613,9 @@ impl PhaseKernel {
                 .iter()
                 .map(|s| CounterRng::new(s.stream_seed(), PHASE_PURPOSE).lane(0))
                 .collect(),
-            gap_scale: streams
-                .iter()
-                .map(|s| 1.0 / (1.0 - s.resample_probability()).ln())
-                .collect(),
             sampler_of,
             samplers,
+            gap_scale,
         }
     }
 
@@ -625,7 +623,7 @@ impl PhaseKernel {
     /// by inversion of one uniform.
     #[inline]
     fn gap(&self, a: usize, u: f64) -> u64 {
-        geometric_gap(u, self.gap_scale[a])
+        geometric_gap(u, self.gap_scale[self.sampler_of[a] as usize])
     }
 }
 
@@ -1137,6 +1135,10 @@ fn run_span(ctx: &EpochCtx<'_>, base: usize, v: &mut LaneView<'_>, stats: &mut [
 /// Pool shutdown ticket.
 const POOL_SHUTDOWN: u64 = u64::MAX;
 
+/// The setup pass's ticket: fill the phase lanes from the streams'
+/// arrivals. Epoch tickets are at least `1 << 2`, so it never collides.
+const POOL_ARRIVAL: u64 = 1;
+
 /// Spins before a waiter parks. High enough that a worker whose next
 /// pass is already being published never syscalls; low enough that an
 /// oversubscribed host degrades to sleeping instead of burning cores.
@@ -1190,6 +1192,8 @@ impl PoolCtrl {
 /// The run-constant inputs of [`EpochCtx`], shared with pool workers so
 /// each can rebuild the epoch's context from the ticket alone.
 struct PassConstants<'a> {
+    /// The run's streams, read by the arrival pass only.
+    streams: &'a [PhasedUtility],
     plan: &'a FaultPlan,
     draws: &'a Draws,
     phases: &'a PhaseKernel,
@@ -1297,6 +1301,41 @@ impl SpanPtr {
         let stats = from_raw_parts_mut(self.stats, self.n_stats);
         run_span(ctx, self.base, &mut v, stats);
     }
+
+    /// Run the arrival pass over this span's phase lanes.
+    ///
+    /// # Safety
+    ///
+    /// As [`SpanPtr::run`].
+    unsafe fn arrive(&self, consts: &PassConstants<'_>) {
+        use std::slice::from_raw_parts_mut;
+        arrive_span(
+            consts.streams,
+            consts.phases,
+            self.base,
+            from_raw_parts_mut(self.phase, self.len),
+            from_raw_parts_mut(self.next_change, self.len),
+        );
+    }
+}
+
+/// The setup pass: each agent's initial phase (its stream's arrival
+/// replay — the one costly per-agent setup step) and its first phase
+/// length, drawn at the reserved setup coordinate. Lane index `i` is
+/// agent `base + i`; every agent's values depend on its own stream only,
+/// so spans may run on any thread.
+fn arrive_span(
+    streams: &[PhasedUtility],
+    phases: &PhaseKernel,
+    base: usize,
+    phase: &mut [f64],
+    next_change: &mut [u64],
+) {
+    for (i, (p, next)) in phase.iter_mut().zip(next_change.iter_mut()).enumerate() {
+        let a = base + i;
+        *p = streams[a].phase_value();
+        *next = phases.gap(a, phases.keys[a].uniform(PHASE_SETUP_EPOCH, 0));
+    }
 }
 
 /// Partition lanes + stats into `workers` contiguous whole-chunk spans —
@@ -1356,9 +1395,15 @@ fn pool_worker(ctrl: &PoolCtrl, idx: usize, span: SpanPtr, consts: &PassConstant
         }
         last = ticket;
         let t0 = ctrl.timed.then(std::time::Instant::now);
-        let ctx = consts.ctx(ticket);
+        // SAFETY: this worker has observed `ticket` and not yet stored it
+        // as done, so the barrier protocol gives it its span alone
+        // (DESIGN.md §17.3).
         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            span.run(&ctx);
+            if ticket == POOL_ARRIVAL {
+                span.arrive(consts);
+            } else {
+                span.run(&consts.ctx(ticket));
+            }
         }))
         .is_ok();
         if let Some(t0) = t0 {
@@ -1426,56 +1471,101 @@ impl PassExec<'_> {
         telemetry: &mut Telemetry,
         on: bool,
     ) -> crate::Result<()> {
-        use std::sync::atomic::Ordering;
         match self {
             PassExec::Serial => {
                 run_span(ctx, 0, &mut lanes.view(), stats);
                 Ok(())
             }
-            PassExec::Pool { ctrl, own, threads } => {
+            PassExec::Pool { .. } => {
                 let ticket = PoolCtrl::encode(
                     ctx.epoch,
                     ctx.mode == KernelMode::Fused,
                     ctx.rack_recovering,
                 );
-                ctrl.seq.store(ticket, Ordering::Release);
-                for t in threads.iter() {
-                    t.unpark();
-                }
-                // The coordinator runs its own span through the same
-                // catch so a panicking decider surfaces as a typed error
-                // on every span, not a process abort on span 0.
-                let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                    own.run(ctx);
-                }))
-                .is_ok();
-                if !ok {
-                    ctrl.panicked.store(true, Ordering::Release);
-                }
-                // Barrier: wait until every worker finished this pass.
-                let barrier_span = on.then(|| telemetry.spans.open("engine.epoch_barrier"));
-                for slot in ctrl.slots.iter() {
-                    let mut spins = 0u32;
-                    while slot.done.load(Ordering::Acquire) != ticket {
-                        spins += 1;
-                        if spins < POOL_SPINS {
-                            std::hint::spin_loop();
-                        } else {
-                            std::thread::park_timeout(std::time::Duration::from_micros(100));
-                        }
-                    }
-                }
-                if let Some(s) = barrier_span {
-                    telemetry.spans.close(s);
-                }
-                if ctrl.panicked.load(Ordering::Acquire) {
-                    return Err(SimError::WorkerPanicked {
-                        what: "engine epoch kernel",
-                    });
-                }
-                Ok(())
+                let barrier = on.then_some(telemetry);
+                // SAFETY: `fan_out` runs this inside the pass window it
+                // opens, while the coordinator's span is its own.
+                self.fan_out(ticket, "engine epoch kernel", barrier, |own| unsafe {
+                    own.run(ctx)
+                })
             }
         }
+    }
+
+    /// The setup pass ([`arrive_span`]) over all agents, on the pool when
+    /// there is one.
+    fn arrive(&mut self, consts: &PassConstants<'_>, lanes: &mut Lanes) -> crate::Result<()> {
+        match self {
+            PassExec::Serial => {
+                arrive_span(
+                    consts.streams,
+                    consts.phases,
+                    0,
+                    &mut lanes.phase,
+                    &mut lanes.next_change,
+                );
+                Ok(())
+            }
+            PassExec::Pool { .. } => {
+                // SAFETY: as in `pass`.
+                self.fan_out(POOL_ARRIVAL, "engine arrival replay", None, |own| unsafe {
+                    own.arrive(consts)
+                })
+            }
+        }
+    }
+
+    /// Publish `ticket` to the pool, run the coordinator's own span with
+    /// `own_pass`, and wait at the barrier (timed as an
+    /// `engine.epoch_barrier` span when `barrier` carries a kit). A panic
+    /// on any span is reported as [`SimError::WorkerPanicked`] naming
+    /// `what`.
+    ///
+    /// `own_pass` is called once, on the coordinator, inside the pass
+    /// window this ticket opens: the one time the coordinator's span is
+    /// exclusively its own, which its unsafe span access relies on.
+    fn fan_out(
+        &mut self,
+        ticket: u64,
+        what: &'static str,
+        barrier: Option<&mut Telemetry>,
+        own_pass: impl FnOnce(&SpanPtr),
+    ) -> crate::Result<()> {
+        use std::sync::atomic::Ordering;
+        let PassExec::Pool { ctrl, own, threads } = self else {
+            unreachable!("fan_out is only reached through the pool");
+        };
+        ctrl.seq.store(ticket, Ordering::Release);
+        for t in threads.iter() {
+            t.unpark();
+        }
+        // The coordinator runs its own span through the same catch so a
+        // panicking decider surfaces as a typed error on every span, not
+        // a process abort on span 0.
+        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| own_pass(own))).is_ok();
+        if !ok {
+            ctrl.panicked.store(true, Ordering::Release);
+        }
+        // Barrier: wait until every worker finished this pass.
+        let barrier_span = barrier.map(|t| (t.spans.open("engine.epoch_barrier"), t));
+        for slot in ctrl.slots.iter() {
+            let mut spins = 0u32;
+            while slot.done.load(Ordering::Acquire) != ticket {
+                spins += 1;
+                if spins < POOL_SPINS {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::park_timeout(std::time::Duration::from_micros(100));
+                }
+            }
+        }
+        if let Some((s, t)) = barrier_span {
+            t.spans.close(s);
+        }
+        if ctrl.panicked.load(Ordering::Acquire) {
+            return Err(SimError::WorkerPanicked { what });
+        }
+        Ok(())
     }
 }
 
@@ -1751,14 +1841,10 @@ pub fn run_guarded(
     };
 
     // All per-run heap allocation happens here; the epoch loop below is
-    // allocation-free.
+    // allocation-free. The phase lanes are filled by the arrival pass,
+    // the first pass the executor runs.
     let phases = PhaseKernel::new(streams);
     let mut lanes = Lanes::new(n);
-    for (i, s) in streams.iter().enumerate() {
-        lanes.phase[i] = s.phase_value();
-        // First phase length, from the reserved setup coordinate.
-        lanes.next_change[i] = phases.gap(i, phases.keys[i].uniform(PHASE_SETUP_EPOCH, 0));
-    }
     let chunk = config.options.chunk_agents;
     if chunk == 0 {
         return Err(SimError::InvalidParameter {
@@ -1786,6 +1872,7 @@ pub fn run_guarded(
         (Vec::new(), None)
     };
     let consts = PassConstants {
+        streams,
         plan: &plan,
         draws: &draws,
         phases: &phases,
@@ -1805,20 +1892,27 @@ pub fn run_guarded(
 
     // The epoch loop, parameterized by the pass executor so the serial
     // and pooled paths share every byte of the logic.
+    let checkpoint = || -> crate::Result<()> {
+        if let Some(d) = deadline {
+            if d.expired() {
+                return Err(SimError::DeadlineExceeded {
+                    what: "simulation run",
+                    limit_ms: d.limit_ms(),
+                });
+            }
+        }
+        if let Some(token) = &guard.cancel {
+            token.check("simulation run")?;
+        }
+        Ok(())
+    };
     let mut run_body = |exec: &mut PassExec<'_>| -> crate::Result<()> {
+        // An interrupted run skips the arrival replay altogether.
+        checkpoint()?;
+        exec.arrive(&consts, &mut lanes)?;
         for epoch in 0..config.epochs {
             if epoch & 63 == 0 {
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        return Err(SimError::DeadlineExceeded {
-                            what: "simulation run",
-                            limit_ms: d.limit_ms(),
-                        });
-                    }
-                }
-                if let Some(token) = &guard.cancel {
-                    token.check("simulation run")?;
-                }
+                checkpoint()?;
             }
             let epoch_span = on.then(|| telemetry.spans.open("engine.epoch"));
             // Epoch throughput is reported as a delta so instrumentation never
@@ -2735,7 +2829,7 @@ mod tests {
             true
         }
         fn static_decider(&self) -> Option<StaticDecider> {
-            Some(StaticDecider::PerAgent(vec![0.0; 8]))
+            Some(StaticDecider::PerAgent(vec![0.0; 8].into()))
         }
     }
 
@@ -2756,7 +2850,68 @@ mod tests {
             )
             .unwrap_err();
             assert!(
-                matches!(err, SimError::WorkerPanicked { .. }),
+                matches!(
+                    err,
+                    SimError::WorkerPanicked {
+                        what: "engine epoch kernel"
+                    }
+                ),
+                "jobs = {jobs}: got {err}"
+            );
+        }
+    }
+
+    /// A uniform phase distribution whose draws panic: its density is
+    /// fine, so streams build, but replaying an arrival fails.
+    #[derive(Debug)]
+    struct PanickingDraws(sprint_stats::dist::Uniform);
+
+    impl sprint_stats::dist::ContinuousDistribution for PanickingDraws {
+        fn pdf(&self, x: f64) -> f64 {
+            self.0.pdf(x)
+        }
+        fn cdf(&self, x: f64) -> f64 {
+            self.0.cdf(x)
+        }
+        fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
+            panic!("draw refused")
+        }
+        fn support(&self) -> (f64, f64) {
+            self.0.support()
+        }
+        fn mean(&self) -> f64 {
+            self.0.mean()
+        }
+    }
+
+    #[test]
+    fn arrival_replay_panic_is_named_apart_from_the_epoch_kernel() {
+        // Small chunks give every pool participant a span of its own.
+        let cfg = SimConfig::new(small_game(64), 10, 11)
+            .unwrap()
+            .with_chunk_agents(16);
+        for jobs in [2usize, 4] {
+            let mut s: Vec<PhasedUtility> = (0..64)
+                .map(|i| {
+                    let dist = sprint_stats::dist::Uniform::new(1.0, 3.0).unwrap();
+                    PhasedUtility::new(Box::new(PanickingDraws(dist)), 3.0, i).unwrap()
+                })
+                .collect();
+            let err = run_jobs(
+                &cfg,
+                &mut s,
+                &mut Greedy::new(),
+                jobs,
+                &mut Telemetry::noop(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SimError::WorkerPanicked {
+                        what: "engine arrival replay"
+                    }
+                ),
                 "jobs = {jobs}: got {err}"
             );
         }

@@ -64,7 +64,8 @@ pub enum StaticDecider {
     /// Sprint at every opportunity (Greedy).
     AlwaysSprint,
     /// Sprint iff `utility > thresholds[agent]` (E-T / C-T).
-    PerAgent(Vec<f64>),
+    /// The thresholds are shared with the policy that produced them.
+    PerAgent(std::sync::Arc<[f64]>),
 }
 
 impl StaticDecider {
@@ -136,7 +137,7 @@ mod tests {
     #[test]
     fn static_decider_rules() {
         assert!(StaticDecider::AlwaysSprint.wants_sprint(3, 0.0));
-        let per = StaticDecider::PerAgent(vec![2.0, 5.0]);
+        let per = StaticDecider::PerAgent(vec![2.0, 5.0].into());
         assert!(per.wants_sprint(0, 3.0));
         assert!(!per.wants_sprint(1, 3.0));
     }

@@ -7,6 +7,7 @@
 //! required by the game's closed-form integrals — plus exact sampling for
 //! the simulator.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::StatsError;
@@ -55,6 +56,20 @@ pub trait ContinuousDistribution: std::fmt::Debug + Send + Sync {
     /// Draw one sample.
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
 
+    /// Draw one sample, but compute its value only when
+    /// [`Deferred::value`] is called.
+    ///
+    /// Consumes exactly the generator words [`Self::sample`] would, and
+    /// the deferred value is bit-for-bit what `sample` would have
+    /// returned. A caller that overwrites most of its draws — replaying a
+    /// phase process to find where it stands — skips the transcendental
+    /// work of every draw it never reads. It takes the workspace's
+    /// concrete generator, so the draws inline into that loop. The
+    /// default computes eagerly.
+    fn sample_deferred(&self, rng: &mut StdRng) -> Deferred {
+        Deferred::Ready(self.sample(rng))
+    }
+
     /// Support of the distribution as `(lo, hi)`.
     ///
     /// Values outside the support have zero density. Distributions with
@@ -64,6 +79,60 @@ pub trait ContinuousDistribution: std::fmt::Debug + Send + Sync {
 
     /// Mean of the distribution.
     fn mean(&self) -> f64;
+}
+
+/// A draw from [`ContinuousDistribution::sample_deferred`]: the uniforms
+/// a sampler consumed, kept until the value is needed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Deferred {
+    /// A value computed eagerly.
+    Ready(f64),
+    /// A truncated-normal draw certain to be accepted on its cosine
+    /// candidate at the Box–Muller uniforms `(u1, u2)`.
+    TruncatedCosine {
+        /// The sampled distribution.
+        dist: TruncatedNormal,
+        /// Radius uniform.
+        u1: f64,
+        /// Angle uniform.
+        u2: f64,
+    },
+    /// A log-normal draw at the Box–Muller uniforms `(u1, u2)`.
+    LogNormal {
+        /// The sampled distribution.
+        dist: LogNormal,
+        /// Radius uniform.
+        u1: f64,
+        /// Angle uniform.
+        u2: f64,
+    },
+}
+
+impl Deferred {
+    /// The sample's value — what [`ContinuousDistribution::sample`]
+    /// would have returned for the same generator words.
+    #[must_use]
+    pub fn value(&self) -> f64 {
+        match *self {
+            Deferred::Ready(x) => x,
+            Deferred::TruncatedCosine { dist, u1, u2 } => dist
+                .candidate(u1, u2)
+                .expect("a certified draw is accepted on its cosine candidate"),
+            Deferred::LogNormal { dist, u1, u2 } => dist.at(u1, u2),
+        }
+    }
+}
+
+/// The Box–Muller radius for the uniform `u1`.
+#[inline]
+fn box_muller_radius(u1: f64) -> f64 {
+    (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt()
+}
+
+/// The Box–Muller angle for the uniform `u2`.
+#[inline]
+fn box_muller_angle(u2: f64) -> f64 {
+    2.0 * std::f64::consts::PI * u2
 }
 
 /// Uniform distribution on `[lo, hi]`.
@@ -144,6 +213,11 @@ pub struct TruncatedNormal {
     hi: f64,
     /// Normalizing mass `Phi((hi-mu)/sigma) - Phi((lo-mu)/sigma)`.
     z: f64,
+    /// Radius uniforms above this put the cosine candidate inside
+    /// `[lo, hi]` whatever the angle (see
+    /// [`TruncatedNormal::sure_accept_threshold`]); 1.0 when no radius is
+    /// that safe.
+    sure_accept: f64,
 }
 
 impl TruncatedNormal {
@@ -184,7 +258,46 @@ impl TruncatedNormal {
             lo,
             hi,
             z,
+            sure_accept: TruncatedNormal::sure_accept_threshold(mu, sigma, lo, hi),
         })
+    }
+
+    /// The radius uniform above which a Box–Muller pair is accepted on
+    /// its cosine candidate for every angle, as computed in `f64`.
+    ///
+    /// Rounding is monotone, so for a radius `r <= r_safe` and any
+    /// `|cos| <= 1`: `|r·cos| <= r_safe`, `|sigma·(r·cos)| <=
+    /// fl(sigma·r_safe)`, and `mu ± that` lies between `fl(mu −
+    /// fl(sigma·r_safe))` and `fl(mu + fl(sigma·r_safe))` — both checked
+    /// against the bounds here. The threshold on `u1` maps `r_safe`
+    /// (shrunk by 1e-9, far above the few-ulp error of `ln` and `sqrt`)
+    /// through `r = sqrt(-2 ln u1)`, rounded up.
+    fn sure_accept_threshold(mu: f64, sigma: f64, lo: f64, hi: f64) -> f64 {
+        let mut r_safe = ((mu - lo).min(hi - mu) / sigma).max(0.0);
+        while r_safe > 0.0 && !(mu - sigma * r_safe >= lo && mu + sigma * r_safe <= hi) {
+            r_safe *= 1.0 - 1e-12;
+        }
+        if r_safe <= 0.0 {
+            return 1.0;
+        }
+        let r = r_safe * (1.0 - 1e-9);
+        ((-0.5 * r * r).exp() * (1.0 + 1e-12)).min(1.0)
+    }
+
+    /// The accepted candidate for the Box–Muller uniforms `(u1, u2)`: the
+    /// cosine one if it lands in `[lo, hi]`, else the sine one, else
+    /// none. The sine candidate is only computed when the cosine one is
+    /// rejected.
+    #[inline]
+    fn candidate(&self, u1: f64, u2: f64) -> Option<f64> {
+        let r = box_muller_radius(u1);
+        let theta = box_muller_angle(u2);
+        let x = self.mu + self.sigma * (r * theta.cos());
+        if x >= self.lo && x <= self.hi {
+            return Some(x);
+        }
+        let x = self.mu + self.sigma * (r * theta.sin());
+        (x >= self.lo && x <= self.hi).then_some(x)
     }
 
     /// Location parameter of the parent normal.
@@ -227,13 +340,25 @@ impl ContinuousDistribution for TruncatedNormal {
         loop {
             let u1: f64 = rand::Rng::gen(&mut *rng);
             let u2: f64 = rand::Rng::gen(&mut *rng);
-            let r = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            for z in [r * theta.cos(), r * theta.sin()] {
-                let x = self.mu + self.sigma * z;
-                if x >= self.lo && x <= self.hi {
-                    return x;
-                }
+            if let Some(x) = self.candidate(u1, u2) {
+                return x;
+            }
+        }
+    }
+
+    fn sample_deferred(&self, rng: &mut StdRng) -> Deferred {
+        loop {
+            let u1: f64 = rng.gen();
+            let u2: f64 = rng.gen();
+            if u1 > self.sure_accept {
+                return Deferred::TruncatedCosine {
+                    dist: *self,
+                    u1,
+                    u2,
+                };
+            }
+            if let Some(x) = self.candidate(u1, u2) {
+                return Deferred::Ready(x);
             }
         }
     }
@@ -277,6 +402,13 @@ impl LogNormal {
         }
         Ok(LogNormal { mu, sigma })
     }
+
+    /// The sample for the Box–Muller uniforms `(u1, u2)`.
+    #[inline]
+    fn at(&self, u1: f64, u2: f64) -> f64 {
+        let z = box_muller_radius(u1) * box_muller_angle(u2).cos();
+        (self.mu + self.sigma * z).exp()
+    }
 }
 
 impl ContinuousDistribution for LogNormal {
@@ -298,9 +430,17 @@ impl ContinuousDistribution for LogNormal {
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
         let u1: f64 = rand::Rng::gen(&mut *rng);
         let u2: f64 = rand::Rng::gen(&mut *rng);
-        let z = (-2.0 * u1.max(f64::MIN_POSITIVE).ln()).sqrt()
-            * (2.0 * std::f64::consts::PI * u2).cos();
-        (self.mu + self.sigma * z).exp()
+        self.at(u1, u2)
+    }
+
+    fn sample_deferred(&self, rng: &mut StdRng) -> Deferred {
+        let u1: f64 = rng.gen();
+        let u2: f64 = rng.gen();
+        Deferred::LogNormal {
+            dist: *self,
+            u1,
+            u2,
+        }
     }
 
     fn support(&self) -> (f64, f64) {
@@ -393,6 +533,16 @@ impl Mixture {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
+
+    /// The component a uniform draw `u` picks.
+    fn component(&self, u: f64) -> &dyn ContinuousDistribution {
+        let idx = self
+            .cumulative
+            .iter()
+            .position(|&c| u <= c)
+            .unwrap_or(self.components.len() - 1);
+        self.components[idx].as_ref()
+    }
 }
 
 impl ContinuousDistribution for Mixture {
@@ -414,12 +564,12 @@ impl ContinuousDistribution for Mixture {
 
     fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
         let u: f64 = rand::Rng::gen(&mut *rng);
-        let idx = self
-            .cumulative
-            .iter()
-            .position(|&c| u <= c)
-            .unwrap_or(self.components.len() - 1);
-        self.components[idx].sample(rng)
+        self.component(u).sample(rng)
+    }
+
+    fn sample_deferred(&self, rng: &mut StdRng) -> Deferred {
+        let u: f64 = rng.gen();
+        self.component(u).sample_deferred(rng)
     }
 
     fn support(&self) -> (f64, f64) {
@@ -623,5 +773,64 @@ mod tests {
         assert_eq!(m.support(), (1.0, 9.0));
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn deferred_draws_match_eager_draws_bit_for_bit() {
+        let tn = |mu, sigma, lo, hi| -> Box<dyn ContinuousDistribution> {
+            Box::new(TruncatedNormal::new(mu, sigma, lo, hi).unwrap())
+        };
+        let dists: Vec<Box<dyn ContinuousDistribution>> = vec![
+            tn(1.8, 0.4, 1.0, 3.0),
+            // Bounds off-centre, a window narrower than sigma, and one
+            // no radius is safe for: every branch of the threshold.
+            tn(4.0, 0.45, 3.0, 5.0),
+            tn(0.0, 5.0, -0.5, 0.5),
+            tn(3.0, 1.0, 3.5, 6.0),
+            Box::new(LogNormal::new(2.43, 0.16).unwrap()),
+            Box::new(
+                Mixture::new(
+                    vec![
+                        tn(2.5, 0.6, 1.2, 4.5),
+                        Box::new(LogNormal::new(2.43, 0.16).unwrap()),
+                        Box::new(Uniform::new(0.0, 1.0).unwrap()),
+                    ],
+                    vec![0.5, 0.3, 0.2],
+                )
+                .unwrap(),
+            ),
+        ];
+        for (d, dist) in dists.iter().enumerate() {
+            for seed in 0..2_000u64 {
+                let mut eager = seeded_rng(seed ^ ((d as u64) << 32));
+                let mut deferred = eager.clone();
+                let x = dist.sample(&mut eager);
+                let y = dist.sample_deferred(&mut deferred).value();
+                assert_eq!(x.to_bits(), y.to_bits(), "dist {d}, seed {seed}");
+                assert_eq!(eager, deferred, "dist {d}, seed {seed}: words consumed");
+            }
+        }
+    }
+
+    #[test]
+    fn sure_accept_radius_keeps_every_cosine_candidate_in_bounds() {
+        for (mu, sigma, lo, hi) in [
+            (1.8, 0.4, 1.0, 3.0),
+            (5.8, 0.9, 3.5, 8.5),
+            (4.0, 0.45, 3.0, 5.0),
+            (12.0, 1.5, 8.0, 16.0),
+            (1.0, 0.1, 0.9, 2.0),
+        ] {
+            let d = TruncatedNormal::new(mu, sigma, lo, hi).unwrap();
+            assert!(d.sure_accept < 1.0, "({mu}, {sigma}) has a safe radius");
+            // The smallest radius uniform the threshold admits gives the
+            // largest radius; cos = ±1 puts the candidate at the extremes.
+            let u1 = f64::from_bits(d.sure_accept.to_bits() + 1);
+            for u2 in [0.0, 0.5, 0.25, 0.125, 1.0 - f64::EPSILON] {
+                let r = box_muller_radius(u1);
+                let x = d.mu + d.sigma * (r * box_muller_angle(u2).cos());
+                assert!((lo..=hi).contains(&x), "({mu}, {sigma}): u2 {u2} gives {x}");
+            }
+        }
     }
 }

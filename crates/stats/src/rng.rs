@@ -17,10 +17,7 @@ use rand::SeedableRng;
 #[must_use]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    finalize(*state)
 }
 
 /// Derives independent child seeds and generators from a master seed.
@@ -52,6 +49,30 @@ impl SeedSequence {
     /// Produce the next child seed.
     pub fn next_seed(&mut self) -> u64 {
         splitmix64(&mut self.state)
+    }
+
+    /// The seed the `(i + 1)`-th [`SeedSequence::next_seed`] call would
+    /// return from this state, without advancing it.
+    ///
+    /// SplitMix64 steps its state by a fixed odd increment, so every
+    /// child seed is addressable by index: this is what lets a population
+    /// derive agent `i`'s seed on any thread in any order.
+    ///
+    /// ```
+    /// use sprint_stats::rng::SeedSequence;
+    ///
+    /// let seq = SeedSequence::new(42);
+    /// let mut walk = seq;
+    /// for i in 0..1_000 {
+    ///     assert_eq!(seq.seed_at(i), walk.next_seed());
+    /// }
+    /// ```
+    #[must_use]
+    pub fn seed_at(&self, i: u64) -> u64 {
+        finalize(
+            self.state
+                .wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
 
     /// Produce a generator seeded with the next child seed.

@@ -8,17 +8,19 @@
 //! shapes and instantiates per-agent utility streams with independent
 //! seeds and randomized arrival offsets.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use sprint_stats::rng::SeedSequence;
 
 use crate::benchmark::Benchmark;
-use crate::phases::PhasedUtility;
+use crate::phases::{PhaseCohort, PhasedUtility};
 use crate::WorkloadError;
 
 /// Maximum random arrival offset, epochs. Offsets decorrelate the phase
 /// processes of agents running the same application.
-const MAX_ARRIVAL_OFFSET_EPOCHS: usize = 64;
+const MAX_ARRIVAL_OFFSET_EPOCHS: u64 = 64;
 
 /// A population of agents, each assigned a benchmark.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,48 +131,48 @@ impl Population {
     /// Instantiate per-agent utility streams with independent seeds and
     /// randomized arrival offsets derived from `master_seed`.
     ///
+    /// Agent `i`'s seed is the `(i + 1)`-th child of `master_seed`
+    /// ([`SeedSequence::seed_at`]) and its arrival offset is taken from
+    /// the seed's high word. Every stream of one benchmark shares one
+    /// [`PhaseCohort`] (distribution, sample table, persistence), so a
+    /// stream costs O(1) and no allocation here; the arrival itself is
+    /// replayed when the stream is first read
+    /// ([`PhasedUtility::phase_value`], [`PhasedUtility::next_utility`]).
+    ///
     /// # Errors
     ///
     /// Never fails for the built-in benchmarks; the `Result` propagates
     /// stream-construction errors for API uniformity.
     pub fn spawn_streams(&self, master_seed: u64) -> crate::Result<Vec<PhasedUtility>> {
-        // One discretized sample table per distinct benchmark, shared by
-        // every stream in that cohort (discretization is O(bins) pdf
-        // evaluations — paying it per agent would dominate large-N setup).
-        let tables: Vec<(
-            Benchmark,
-            std::sync::Arc<sprint_stats::density::DiscreteDensity>,
-        )> = self
-            .distinct_types()
-            .into_iter()
-            .map(|b| {
-                b.utility_density(crate::phases::PHASE_SAMPLE_BINS)
-                    .map(|d| (b, std::sync::Arc::new(d)))
-            })
-            .collect::<crate::Result<_>>()?;
-        let mut seq = SeedSequence::new(master_seed);
-        self.assignments
+        // One cohort per distinct benchmark, indexed by the benchmark's
+        // discriminant (discretization is O(bins) pdf evaluations —
+        // paying it per agent would dominate large-N setup).
+        let types = self.distinct_types();
+        let cohorts: Vec<Arc<PhaseCohort>> = types
             .iter()
-            .map(|&b| {
-                let seed = seq.next_seed();
-                let table = tables
-                    .iter()
-                    .find(|(t, _)| *t == b)
-                    .map(|(_, table)| table.clone())
-                    .expect("every assignment is a distinct type");
-                let mut stream = PhasedUtility::with_shared_table(
-                    b.speedup_distribution(),
-                    table,
-                    crate::phases::DEFAULT_PERSISTENCE_EPOCHS,
-                    seed,
-                )?;
-                // Randomized arrival: advance by a seed-derived offset.
-                let offset = (seed >> 32) as usize % MAX_ARRIVAL_OFFSET_EPOCHS;
-                stream.skip(offset);
-                Ok(stream)
+            .map(|&b| PhaseCohort::for_benchmark(b))
+            .collect::<crate::Result<_>>()?;
+        let mut index_of = [0usize; Benchmark::ALL.len()];
+        for (c, &b) in types.iter().enumerate() {
+            index_of[b as usize] = c;
+        }
+        let seq = SeedSequence::new(master_seed);
+        Ok(self
+            .assignments
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let seed = seq.seed_at(i as u64);
+                PhasedUtility::in_cohort(&cohorts[index_of[b as usize]], seed, arrival_offset(seed))
             })
-            .collect()
+            .collect())
     }
+}
+
+/// Randomized arrival: a seed-derived number of phase steps in
+/// `0..MAX_ARRIVAL_OFFSET_EPOCHS`, taken from the seed's high word.
+fn arrival_offset(seed: u64) -> u32 {
+    ((seed >> 32) % MAX_ARRIVAL_OFFSET_EPOCHS) as u32
 }
 
 #[cfg(test)]

@@ -36,28 +36,93 @@ pub const PHASE_SAMPLE_BINS: usize = 1024;
 /// of 150 s epochs; 3 epochs reflects multi-epoch Spark stages.
 pub const DEFAULT_PERSISTENCE_EPOCHS: f64 = 3.0;
 
-/// A stream of per-epoch sprinting utilities with phase persistence.
+/// What every stream of one cohort shares: the phase distribution, its
+/// discretized sample table, and the mean phase persistence. A spawned
+/// population builds one per distinct benchmark, so per-agent streams
+/// carry a pointer instead of their own boxed distribution.
 #[derive(Debug)]
-pub struct PhasedUtility {
+pub struct PhaseCohort {
     dist: Box<dyn ContinuousDistribution>,
-    /// The discretized stationary density `f(u)`, shared across a cohort
-    /// so the engine can resample phases with one inverse-cdf lookup.
-    table: Arc<DiscreteDensity>,
+    /// The discretized stationary density `f(u)`, so the engine can
+    /// resample phases with one inverse-cdf lookup.
+    table: DiscreteDensity,
     /// Mean number of epochs a phase persists (>= 1; 1 = iid).
     persistence_epochs: f64,
-    current: f64,
+}
+
+impl PhaseCohort {
+    /// Discretize `dist` into a [`PHASE_SAMPLE_BINS`]-bin sample table and
+    /// bundle it with the persistence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::InvalidParameter`] when
+    /// `persistence_epochs < 1`, and propagates discretization errors.
+    pub(crate) fn new(
+        dist: Box<dyn ContinuousDistribution>,
+        persistence_epochs: f64,
+    ) -> crate::Result<Arc<Self>> {
+        if persistence_epochs < 1.0 || !persistence_epochs.is_finite() {
+            return Err(WorkloadError::InvalidParameter {
+                name: "persistence_epochs",
+                value: persistence_epochs,
+                expected: "a finite persistence of at least 1 epoch",
+            });
+        }
+        let table = DiscreteDensity::from_distribution(dist.as_ref(), PHASE_SAMPLE_BINS)?;
+        Ok(Arc::new(PhaseCohort {
+            dist,
+            table,
+            persistence_epochs,
+        }))
+    }
+
+    /// The cohort of `benchmark` at [`DEFAULT_PERSISTENCE_EPOCHS`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PhaseCohort::new`]; never fails for the built-in benchmarks.
+    pub(crate) fn for_benchmark(benchmark: Benchmark) -> crate::Result<Arc<Self>> {
+        PhaseCohort::new(benchmark.speedup_distribution(), DEFAULT_PERSISTENCE_EPOCHS)
+    }
+
+    /// Per-epoch probability that the phase resamples (`1 / persistence`).
+    fn resample_probability(&self) -> f64 {
+        1.0 / self.persistence_epochs
+    }
+}
+
+/// A stream of per-epoch sprinting utilities with phase persistence.
+///
+/// A stream is defined by its cohort, its seed, and its arrival offset:
+/// its sequential generator is `seeded_rng(seed)`, the first phase is one
+/// draw from the cohort's distribution, and `arrival` phase steps are
+/// skipped before the first emitted value. Building a stream does none of
+/// that work; the generator is replayed on first use
+/// ([`PhasedUtility::next_utility`]), so the simulation engine — which
+/// advances phases on its own counter-based draws — only ever pays for
+/// the initial phase ([`PhasedUtility::phase_value`]).
+#[derive(Debug)]
+pub struct PhasedUtility {
+    cohort: Arc<PhaseCohort>,
+    /// Phase steps skipped after the first draw (the randomized arrival).
+    arrival: u32,
     seed: u64,
-    rng: StdRng,
+    /// The phase the next [`PhasedUtility::next_utility`] call emits,
+    /// once known: after the generator is replayed, or after
+    /// [`PhasedUtility::sync_phase`].
+    current: Option<f64>,
+    /// The sequential generator, replayed on first use.
+    rng: Option<Box<StdRng>>,
 }
 
 impl PhasedUtility {
     /// Create a stream drawing phases from `dist`, each persisting for a
     /// geometric number of epochs with the given mean.
     ///
-    /// Discretizes `dist` into a private sample table; spawn cohorts
-    /// through [`PhasedUtility::with_shared_table`] (as
-    /// [`crate::generator::Population::spawn_streams`] does) to pay that
-    /// cost once per distribution instead of once per agent.
+    /// Discretizes `dist` into a private sample table; spawn populations
+    /// through [`crate::generator::Population::spawn_streams`], which pays
+    /// that cost once per benchmark instead of once per agent.
     ///
     /// # Errors
     ///
@@ -68,43 +133,21 @@ impl PhasedUtility {
         persistence_epochs: f64,
         seed: u64,
     ) -> crate::Result<Self> {
-        let table = Arc::new(DiscreteDensity::from_distribution(
-            dist.as_ref(),
-            PHASE_SAMPLE_BINS,
-        )?);
-        PhasedUtility::with_shared_table(dist, table, persistence_epochs, seed)
+        let cohort = PhaseCohort::new(dist, persistence_epochs)?;
+        Ok(PhasedUtility::in_cohort(&cohort, seed, 0))
     }
 
-    /// [`PhasedUtility::new`] with a pre-discretized sample table, so a
-    /// cohort of streams over one distribution shares one table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidParameter`] when
-    /// `persistence_epochs < 1`.
-    pub fn with_shared_table(
-        dist: Box<dyn ContinuousDistribution>,
-        table: Arc<DiscreteDensity>,
-        persistence_epochs: f64,
-        seed: u64,
-    ) -> crate::Result<Self> {
-        if persistence_epochs < 1.0 || !persistence_epochs.is_finite() {
-            return Err(WorkloadError::InvalidParameter {
-                name: "persistence_epochs",
-                value: persistence_epochs,
-                expected: "a finite persistence of at least 1 epoch",
-            });
-        }
-        let mut rng = seeded_rng(seed);
-        let current = dist.sample(&mut rng);
-        Ok(PhasedUtility {
-            dist,
-            table,
-            persistence_epochs,
-            current,
+    /// A stream of `cohort` whose arrival skips `arrival` phase steps.
+    /// O(1), allocation-free.
+    #[must_use]
+    pub(crate) fn in_cohort(cohort: &Arc<PhaseCohort>, seed: u64, arrival: u32) -> Self {
+        PhasedUtility {
+            cohort: Arc::clone(cohort),
+            arrival,
             seed,
-            rng,
-        })
+            current: None,
+            rng: None,
+        }
     }
 
     /// Create a stream for a benchmark with its default persistence
@@ -115,35 +158,49 @@ impl PhasedUtility {
     /// Never fails for the built-in persistence; the `Result` mirrors
     /// [`PhasedUtility::new`] for API uniformity.
     pub fn for_benchmark(benchmark: Benchmark, seed: u64) -> crate::Result<Self> {
-        PhasedUtility::new(
-            benchmark.speedup_distribution(),
-            DEFAULT_PERSISTENCE_EPOCHS,
+        Ok(PhasedUtility::in_cohort(
+            &PhaseCohort::for_benchmark(benchmark)?,
             seed,
-        )
+            0,
+        ))
     }
 
     /// Mean phase persistence in epochs.
     #[must_use]
     pub fn persistence_epochs(&self) -> f64 {
-        self.persistence_epochs
+        self.cohort.persistence_epochs
+    }
+
+    /// The generator and phase at arrival: seed the generator, draw the
+    /// first phase, then take `arrival` phase steps. Only the last phase
+    /// drawn is ever read, so draws are deferred and just that one is
+    /// evaluated.
+    fn replay(&self) -> (StdRng, f64) {
+        let mut rng = seeded_rng(self.seed);
+        let dist = self.cohort.dist.as_ref();
+        let p_new = self.cohort.resample_probability();
+        let mut current = dist.sample_deferred(&mut rng);
+        for _ in 0..self.arrival {
+            if rng.gen::<f64>() < p_new {
+                current = dist.sample_deferred(&mut rng);
+            }
+        }
+        (rng, current.value())
     }
 
     /// Utility of the current epoch, then advance the phase process.
     pub fn next_utility(&mut self) -> f64 {
-        let out = self.current;
-        let p_new = 1.0 / self.persistence_epochs;
-        if self.rng.gen::<f64>() < p_new {
-            self.current = self.dist.sample(&mut self.rng);
+        if self.rng.is_none() {
+            let (rng, phase) = self.replay();
+            self.current.get_or_insert(phase);
+            self.rng = Some(Box::new(rng));
+        }
+        let rng = self.rng.as_deref_mut().expect("materialized above");
+        let out = self.current.expect("materialized above");
+        if rng.gen::<f64>() < self.cohort.resample_probability() {
+            self.current = Some(self.cohort.dist.sample(rng));
         }
         out
-    }
-
-    /// Advance the stream by `epochs` draws without observing them
-    /// (used to randomize agent arrival offsets).
-    pub fn skip(&mut self, epochs: usize) {
-        for _ in 0..epochs {
-            let _ = self.next_utility();
-        }
     }
 
     // --- Kernel decomposition -------------------------------------------
@@ -154,22 +211,30 @@ impl PhasedUtility {
     // writes the final phase back with [`PhasedUtility::sync_phase`].
 
     /// The phase value the next [`PhasedUtility::next_utility`] call
-    /// would emit.
+    /// would emit. For a stream that has not been advanced or synced yet,
+    /// this replays its arrival (a pure computation, repeated per call).
     #[must_use]
     pub fn phase_value(&self) -> f64 {
-        self.current
+        self.current.unwrap_or_else(|| self.replay().1)
     }
 
     /// Per-epoch probability that the phase resamples (`1 / persistence`).
     #[must_use]
     pub fn resample_probability(&self) -> f64 {
-        1.0 / self.persistence_epochs
+        self.cohort.resample_probability()
+    }
+
+    /// The cohort this stream shares its distribution and sample table
+    /// with.
+    #[must_use]
+    pub fn cohort(&self) -> &Arc<PhaseCohort> {
+        &self.cohort
     }
 
     /// The shared discretized density phases resample from.
     #[must_use]
-    pub fn sample_table(&self) -> &Arc<DiscreteDensity> {
-        &self.table
+    pub fn sample_table(&self) -> &DiscreteDensity {
+        &self.cohort.table
     }
 
     /// The seed this stream was created with — the root of its
@@ -180,9 +245,11 @@ impl PhasedUtility {
     }
 
     /// Write back a phase value advanced outside the stream (the engine's
-    /// lane kernel), so the stream observes its own evolution.
+    /// lane kernel), so the stream observes its own evolution. The
+    /// sequential generator, if later replayed, resumes from the state the
+    /// arrival left it in.
     pub fn sync_phase(&mut self, value: f64) {
-        self.current = value;
+        self.current = Some(value);
     }
 }
 
@@ -233,17 +300,6 @@ mod tests {
         let vals: Vec<f64> = (0..1_000).map(|_| s.next_utility()).collect();
         let repeats = vals.windows(2).filter(|w| w[0] == w[1]).count();
         assert_eq!(repeats, 0, "continuous iid draws never repeat exactly");
-    }
-
-    #[test]
-    fn skip_advances_state() {
-        let mut a = uniform_stream(3.0, 17);
-        let mut b = uniform_stream(3.0, 17);
-        b.skip(10);
-        let a_vals: Vec<f64> = (0..20).map(|_| a.next_utility()).collect();
-        let b0 = b.next_utility();
-        // b's first value equals a's value 10 epochs in.
-        assert_eq!(b0, a_vals[10]);
     }
 
     #[test]
