@@ -31,7 +31,9 @@
 //!   over interleaved reps.
 //!
 //! Results land in `BENCH_engine.json` at the workspace root so CI can
-//! archive the trend. Run with `--quick` for a reduced-scale smoke pass.
+//! archive the trend — written only when every gate passes, so a failing
+//! run never becomes the next run's baseline. Run with `--quick` for a
+//! reduced-scale smoke pass.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -645,8 +647,6 @@ fn main() {
          \"warm_iterations_per_cell\": {warm_iters:.4},\n  \
          \"warm_start_ratio\": {warm_ratio:.4},\n  \"min_warm_ratio\": {MIN_WARM_RATIO}\n}}\n"
     );
-    std::fs::write(&out, json).expect("write BENCH_engine.json");
-    println!("  snapshot {}", out.display());
 
     let mut failed = false;
     if long != short {
@@ -700,9 +700,14 @@ fn main() {
         );
         failed = true;
     }
+    // Only a passing run becomes the snapshot: the next run reads its
+    // parallel speedup as the regression baseline.
     if failed {
+        eprintln!("  snapshot {} left unchanged", out.display());
         std::process::exit(1);
     }
+    std::fs::write(&out, json).expect("write BENCH_engine.json");
+    println!("  snapshot {}", out.display());
     if enforce_parallel {
         println!("PASS: no-alloc, serial, parallel, and warm-start budgets all met");
     } else {

@@ -551,14 +551,20 @@ fn worker_loop(shared: &Arc<Shared>, producer: RingProducer) {
                 Err(e) => Completion::Failed {
                     error: e.to_string(),
                 },
-                Ok(bytes) => match report.outcome {
-                    JobOutcome::Cancelled => Completion::Cancelled { report: bytes },
-                    JobOutcome::DeadlineExceeded { limit_ms } => Completion::DeadlineExceeded {
-                        report: bytes,
-                        limit_ms,
-                    },
-                    _ => Completion::Done { report: bytes },
-                },
+                Ok(mut bytes) => {
+                    // The table keeps every finished report for the
+                    // daemon's lifetime: store it without the spare
+                    // capacity serialization leaves.
+                    bytes.shrink_to_fit();
+                    match report.outcome {
+                        JobOutcome::Cancelled => Completion::Cancelled { report: bytes },
+                        JobOutcome::DeadlineExceeded { limit_ms } => Completion::DeadlineExceeded {
+                            report: bytes,
+                            limit_ms,
+                        },
+                        _ => Completion::Done { report: bytes },
+                    }
+                }
             },
             Err(e) => Completion::Failed {
                 error: e.to_string(),

@@ -304,7 +304,8 @@ impl Journal {
 
     /// Atomically replace the journal with the given transitions
     /// (boot-time compaction): write a temp file, sync it, rename it
-    /// over the old log, and return the fresh append handle.
+    /// over the old log, sync the directory so the rename itself is
+    /// durable, and return the fresh append handle.
     ///
     /// # Errors
     ///
@@ -315,9 +316,7 @@ impl Journal {
             let mut file = File::create(&tmp)
                 .map_err(ServeError::io(format!("creating {}", tmp.display())))?;
             for t in transitions {
-                let line = serde_json::to_string(t).map_err(|e| journal_err("serializing", e))?;
-                file.write_all(line.as_bytes())
-                    .and_then(|()| file.write_all(b"\n"))
+                file.write_all(record(t)?.as_bytes())
                     .map_err(ServeError::io("writing compacted journal"))?;
             }
             file.sync_data()
@@ -325,6 +324,16 @@ impl Journal {
         }
         std::fs::rename(&tmp, path)
             .map_err(ServeError::io(format!("renaming over {}", path.display())))?;
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(ServeError::io(format!(
+                "syncing directory {}",
+                dir.display()
+            )))?;
         Journal::open_append(path)
     }
 
@@ -336,10 +345,8 @@ impl Journal {
     /// [`ServeError::Io`] / [`ServeError::Job`] when the record cannot
     /// be made durable; the caller must fail the state change.
     pub fn append(&mut self, transition: &Transition) -> crate::Result<()> {
-        let line = serde_json::to_string(transition).map_err(|e| journal_err("serializing", e))?;
         self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
+            .write_all(record(transition)?.as_bytes())
             .map_err(ServeError::io(format!(
                 "appending to journal {}",
                 self.path.display()
@@ -348,6 +355,14 @@ impl Journal {
             .sync_data()
             .map_err(ServeError::io("syncing journal append"))
     }
+}
+
+/// One journal record: the transition's JSON and its newline, in one
+/// buffer so each record reaches the file in a single write.
+fn record(transition: &Transition) -> crate::Result<String> {
+    let mut line = serde_json::to_string(transition).map_err(|e| journal_err("serializing", e))?;
+    line.push('\n');
+    Ok(line)
 }
 
 #[cfg(test)]
@@ -520,6 +535,59 @@ mod tests {
         assert_eq!(recovery.jobs.len(), 6);
         assert_eq!(recovery.max_id, 6);
         assert!(!path.with_extension("jsonl.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_record_survives_rewrite_append_and_replay() {
+        let dir = tempdir("records");
+        let path = dir.join("journal.jsonl");
+        let compacted = vec![
+            Transition::Submitted {
+                id: 1,
+                client: "anonymous".into(),
+                spec: spec(1).into(),
+            },
+            Transition::Done { id: 1 },
+            Transition::Submitted {
+                id: 2,
+                client: "ci".into(),
+                spec: spec(2).into(),
+            },
+            Transition::Failed {
+                id: 2,
+                error: "boom".into(),
+            },
+        ];
+        let appended = vec![
+            Transition::Submitted {
+                id: 3,
+                client: "ci".into(),
+                spec: spec(3).into(),
+            },
+            Transition::Started { id: 3 },
+            Transition::Cancelled { id: 3 },
+            Transition::DeadlineExceeded {
+                id: 4,
+                limit_ms: 10,
+            },
+        ];
+        let mut journal = Journal::rewrite(&path, &compacted).unwrap();
+        for t in &appended {
+            journal.append(t).unwrap();
+        }
+        drop(journal);
+        let (transitions, torn) = replay(&path).unwrap();
+        assert!(!torn);
+        let expected: Vec<Transition> = compacted.into_iter().chain(appended).collect();
+        assert_eq!(transitions, expected);
+        // One record per line, each terminated by its newline.
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<String> = expected
+            .iter()
+            .map(|t| serde_json::to_string(t).unwrap() + "\n")
+            .collect();
+        assert_eq!(raw, lines.concat());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -37,12 +37,14 @@
 //! policies keep a serial decision loop between two kernel passes and
 //! produce the same bytes at every job count.
 
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use sprint_game::trip::TripCurve;
 use sprint_game::{AgentState, GameConfig};
 use sprint_power::pcm::CurrentSensor;
 use sprint_stats::density::AliasSampler;
+use sprint_stats::geometric::GapTable;
 use sprint_stats::rng::{CounterLane, CounterRng};
 use sprint_telemetry::{
     CounterId, Event, EventKind, FaultKind, HistogramId, Registry, SeriesId, Telemetry,
@@ -576,15 +578,16 @@ const PHASE_PURPOSE: u64 = 8;
 struct PhaseKernel {
     /// Counter stream per agent, rooted at the stream's seed.
     keys: Vec<CounterLane>,
-    /// Index into `samplers` per agent (cohorts share one table, so this
-    /// lane is small integers and `samplers` stays cache-hot).
+    /// Index into `samplers` and `gaps` per agent (cohorts share one
+    /// table, so this lane is small integers and the tables stay
+    /// cache-hot).
     sampler_of: Vec<u32>,
     /// One O(1) alias sampler per distinct cohort.
     samplers: Vec<AliasSampler>,
-    /// `1 / ln(1 - p_resample)` per cohort — the scale that turns one
-    /// uniform into a geometric phase length by inversion (`-0.0` when
-    /// `p_resample >= 1`, which correctly yields length-1 phases).
-    gap_scale: Vec<f64>,
+    /// Phase-length table per cohort, at scale `1 / ln(1 - p_resample)`
+    /// (`-0.0` when `p_resample >= 1`, which correctly yields length-1
+    /// phases).
+    gaps: Vec<GapTable>,
 }
 
 impl PhaseKernel {
@@ -597,13 +600,13 @@ impl PhaseKernel {
         let mut seen: std::collections::HashMap<*const PhaseCohort, u32> =
             std::collections::HashMap::new();
         let mut samplers = Vec::new();
-        let mut gap_scale = Vec::new();
+        let mut gaps = Vec::new();
         let sampler_of = streams
             .iter()
             .map(|s| {
                 *seen.entry(Arc::as_ptr(s.cohort())).or_insert_with(|| {
                     samplers.push(AliasSampler::new(s.sample_table()));
-                    gap_scale.push(1.0 / (1.0 - s.resample_probability()).ln());
+                    gaps.push(GapTable::new(1.0 / (1.0 - s.resample_probability()).ln()));
                     (samplers.len() - 1) as u32
                 })
             })
@@ -615,27 +618,37 @@ impl PhaseKernel {
                 .collect(),
             sampler_of,
             samplers,
-            gap_scale,
+            gaps,
         }
     }
 
-    /// A geometric phase length on `{1, 2, ...}` with mean `persistence`,
-    /// by inversion of one uniform.
+    /// Agent `a`'s next phase length on `{1, 2, ...}` (mean
+    /// `persistence`) from one counter word, by inversion of its top 53
+    /// bits.
     #[inline]
-    fn gap(&self, a: usize, u: f64) -> u64 {
-        geometric_gap(u, self.gap_scale[self.sampler_of[a] as usize])
+    fn gap(&self, a: usize, word: u64) -> u64 {
+        self.gaps[self.sampler_of[a] as usize].gap(word >> 11)
+    }
+
+    /// Resample agent `a`'s phase at `epoch`: one counter word splits
+    /// into the alias-table bin and in-bin position draws, and a second
+    /// turns into the next phase length. Returns the new phase value and
+    /// the epoch of the next change.
+    #[inline(always)]
+    fn resample(&self, a: usize, epoch: u64) -> (f64, u64) {
+        let key = self.keys[a];
+        let w = key.word(epoch, 0);
+        let scale = 1.0 / 4_294_967_296.0;
+        let u_bin = (w >> 32) as f64 * scale;
+        let u_pos = f64::from(w as u32) * scale;
+        let value = self.samplers[self.sampler_of[a] as usize].sample(u_bin, u_pos);
+        (value, epoch + self.gap(a, key.word(epoch, 1)))
     }
 }
 
-/// A geometric variate on `{1, 2, ...}` with success probability `p`, by
-/// inversion: `1 + floor(ln(1-u) / ln(1-p))` with `scale = 1 / ln(1-p)`
-/// precomputed. The `f64 -> u64` cast saturates, so near-zero exit
-/// probabilities yield astronomically long (not wrapped) gaps, and
-/// `p = 1` (`scale = -0.0`) always yields 1.
-#[inline]
-fn geometric_gap(u: f64, scale: f64) -> u64 {
-    1 + ((1.0 - u).ln() * scale) as u64
-}
+/// Agents per work-list block in the fused kernel: the resample and
+/// sprinter lists live on the stack, one block at a time.
+const WORK_BLOCK: usize = 256;
 
 /// Reserved epoch coordinate for setup-time phase draws; run epochs are
 /// array indices and can never reach it.
@@ -802,9 +815,8 @@ struct EpochCtx<'a> {
     phases: &'a PhaseKernel,
     estimation: UtilityEstimation,
     rack_recovering: bool,
-    /// Precomputed `1 / ln(p_cooling)` for [`geometric_gap`] cooling
-    /// durations.
-    cool_scale: f64,
+    /// Cooling durations, at scale `1 / ln(p_cooling)`.
+    cool_gap: &'a GapTable,
     decider: Option<&'a StaticDecider>,
     mode: KernelMode,
     /// Agents per chunk ([`RunOptions::chunk_agents`]).
@@ -822,17 +834,9 @@ fn advance_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>)
     // and a second turns into the next geometric gap. Phases advance in
     // wall-clock time regardless of power state, exactly like the
     // sequential streams.
-    let a = agent as usize;
     let epoch = ctx.epoch as u64;
     if epoch == v.next_change[i] {
-        let key = ctx.phases.keys[a];
-        let w = key.word(epoch, 0);
-        let sampler = &ctx.phases.samplers[ctx.phases.sampler_of[a] as usize];
-        let scale = 1.0 / 4_294_967_296.0;
-        let u_bin = (w >> 32) as f64 * scale;
-        let u_pos = f64::from(w as u32) * scale;
-        v.phase[i] = sampler.sample(u_bin, u_pos);
-        v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
+        (v.phase[i], v.next_change[i]) = ctx.phases.resample(agent as usize, epoch);
     }
     let mut flag = 0u8;
     // Crash churn progresses in wall-clock time too: agents go down and
@@ -866,17 +870,21 @@ fn advance_agent(ctx: &EpochCtx<'_>, agent: u64, i: usize, v: &mut LaneView<'_>)
 
 /// The streamlined fused kernel for the common case: oracle estimation,
 /// no crash or stuck faults, rack powered. The per-agent work of
-/// [`run_chunk`] is split into three passes over the SoA lanes so the
-/// decide pass is branch-free and auto-vectorizable:
+/// [`run_chunk`] is split into three passes over the SoA lanes, one
+/// [`WORK_BLOCK`] of agents at a time, and no per-agent branch depends on
+/// the data:
 ///
-/// - **A** — phase advance (rare resample, one compare per agent);
+/// - **A** — phase advance: compact the agents whose phase changes this
+///   epoch into a stack work-list (`k += due`), then resample just those;
 /// - **B** — decide: `sprinted[i] = active & unblocked & over-threshold`,
 ///   straight-line boolean arithmetic over the `states`, `blocked_until`,
 ///   and `phase` lanes with the decider match hoisted out of the loop;
-/// - **C** — accumulate throughput/occupancy and apply transitions in the
-///   same per-agent order as the fused path, so every float lands in the
-///   accumulator in the identical sequence and every counter draw uses
-///   the identical coordinates — the restructure is bitwise invisible.
+/// - **C** — accumulate throughput/occupancy and pick each next state by
+///   select, in the same per-agent order as the fused path, compacting
+///   the sprinters into a work-list; then draw the listed sprinters'
+///   cooldowns. Every float lands in the accumulator in the identical
+///   sequence and every counter draw uses the identical coordinates — the
+///   restructure is bitwise invisible.
 fn run_chunk_streamlined(
     ctx: &EpochCtx<'_>,
     decider: &StaticDecider,
@@ -887,77 +895,124 @@ fn run_chunk_streamlined(
 ) -> ChunkStats {
     let mut st = ChunkStats::default();
     let epoch = ctx.epoch as u64;
-    // Pass A: phase processes (wall-clock time, independent of power
-    // state). Resampling is rare — mean phase lengths are the benchmark
-    // persistences — so the loop body is usually one load and compare.
-    for i in lo..hi {
-        if epoch == v.next_change[i] {
-            let a = base + i;
-            let key = ctx.phases.keys[a];
-            let w = key.word(epoch, 0);
-            let sampler = &ctx.phases.samplers[ctx.phases.sampler_of[a] as usize];
-            let scale = 1.0 / 4_294_967_296.0;
-            let u_bin = (w >> 32) as f64 * scale;
-            let u_pos = f64::from(w as u32) * scale;
-            v.phase[i] = sampler.sample(u_bin, u_pos);
-            v.next_change[i] = epoch + ctx.phases.gap(a, key.uniform(epoch, 1));
+    // Lane offsets of this block's due agents (pass A), then of its
+    // sprinters (pass C). An entry is written for every agent and kept
+    // only if the count moves past it, so `k < WORK_BLOCK` at each write
+    // and the mask is free.
+    let mut list = [0u32; WORK_BLOCK];
+    // Each agent's unscaled epoch tasks, written by pass B and summed in
+    // agent order by pass C.
+    let mut tasks = [0.0f64; WORK_BLOCK];
+    let mut start = lo;
+    while start < hi {
+        let end = (start + WORK_BLOCK).min(hi);
+
+        // Pass A: phase processes (wall-clock time, independent of power
+        // state). At persistence 3 one agent in three is due, too many
+        // for a predictable branch, so the due agents are listed first.
+        let mut k = 0;
+        for (j, &next) in v.next_change[start..end].iter().enumerate() {
+            list[k & (WORK_BLOCK - 1)] = j as u32;
+            k += usize::from(next == epoch);
         }
+        for &j in &list[..k] {
+            let i = start + j as usize;
+            (v.phase[i], v.next_change[i]) = ctx.phases.resample(base + i, epoch);
+        }
+
+        // Pass B: branch-free decide. Non-active agents never sprint, so
+        // writing the conjunction unconditionally also clears the lane for
+        // cooling/recovery agents exactly as the fused path does.
+        let states = &v.states[start..end];
+        let blocked = &v.blocked_until[start..end];
+        let phase = &v.phase[start..end];
+        let sprinted = &mut v.sprinted[start..end];
+        let tasks = &mut tasks[..end - start];
+        st.decisions += match decider {
+            StaticDecider::AlwaysSprint => {
+                decide_block(ctx.epoch, states, blocked, phase, sprinted, tasks, |_| true)
+            }
+            StaticDecider::PerAgent(thresholds) => {
+                // Global-agent indexing, sliced once; a mis-sized decider
+                // panics here like `wants_sprint` would.
+                let t = &thresholds[base + start..base + end];
+                decide_block(ctx.epoch, states, blocked, phase, sprinted, tasks, |j| {
+                    phase[j] > t[j]
+                })
+            }
+        };
+
+        // Pass C: throughput, occupancy, and speculative transitions, one
+        // agent at a time in index order (bitwise-identical accumulation).
+        // Counts come from the state bits and the next state is a select:
+        // at the equilibrium each state holds a sizeable share of agents,
+        // so a branch on it would mispredict often. The block's sprinters
+        // are listed for the cooldown draws below, so their count is the
+        // list's length.
+        let states = &mut v.states[start..end];
+        let sprinted = &v.sprinted[start..end];
+        let cool_until = &v.cool_until[start..end];
+        let mut k = 0;
+        let mut cooling_now = 0u32;
+        for j in 0..states.len() {
+            st.tasks += tasks[j];
+            let state = states[j];
+            let active = state == AgentState::Active;
+            let cooling = state == AgentState::Cooling;
+            let sprint = sprinted[j];
+            cooling_now += u32::from(cooling);
+            // Cooled chips and stale recovery tags return to Active.
+            let wake = (cooling & (epoch >= cool_until[j])) | (!active & !cooling);
+            let next = select_unpredictable(wake, AgentState::Active, state);
+            states[j] = select_unpredictable(sprint, AgentState::Cooling, next);
+            list[k & (WORK_BLOCK - 1)] = j as u32;
+            k += usize::from(sprint);
+        }
+        st.n_sprinters += k as u32;
+        st.occ_cooling += cooling_now;
+        st.occ_idle += (end - start - k) as u32 - cooling_now;
+        // Cooling durations for this block's sprinters, drawn once at
+        // sprint time: the same geometric law as a per-epoch exit draw,
+        // so parked agents cost one compare above.
+        for &j in &list[..k] {
+            let i = start + j as usize;
+            let w = ctx.draws.cooling.word((base + i) as u64, epoch, 0);
+            v.cool_until[i] = epoch + ctx.cool_gap.gap(w >> 11);
+        }
+        start = end;
     }
-    // Pass B: branch-free decide. Non-active agents never sprint, so
-    // writing the conjunction unconditionally also clears the lane for
-    // cooling/recovery agents exactly as the fused path does.
-    match decider {
-        StaticDecider::AlwaysSprint => {
-            for i in lo..hi {
-                v.sprinted[i] =
-                    matches!(v.states[i], AgentState::Active) & (ctx.epoch >= v.blocked_until[i]);
-            }
-        }
-        StaticDecider::PerAgent(thresholds) => {
-            // Global-agent indexing, sliced once; a mis-sized decider
-            // panics here like `wants_sprint` would.
-            let t = &thresholds[base + lo..base + hi];
-            for (k, i) in (lo..hi).enumerate() {
-                v.sprinted[i] = matches!(v.states[i], AgentState::Active)
-                    & (ctx.epoch >= v.blocked_until[i])
-                    & (v.phase[i] > t[k]);
-            }
-        }
-    }
-    // Pass C: throughput, occupancy, and speculative transitions, one
-    // agent at a time in index order (bitwise-identical accumulation).
-    for i in lo..hi {
-        let agent = (base + i) as u64;
-        match v.states[i] {
-            AgentState::Active => {
-                st.decisions += u32::from(ctx.epoch >= v.blocked_until[i]);
-                if v.sprinted[i] {
-                    st.n_sprinters += 1;
-                    st.occ_sprinting += 1;
-                    st.tasks += v.phase[i];
-                    v.states[i] = AgentState::Cooling;
-                    let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
-                } else {
-                    st.occ_idle += 1;
-                    st.tasks += 1.0;
-                }
-            }
-            AgentState::Cooling => {
-                st.occ_cooling += 1;
-                st.tasks += 1.0;
-                if epoch >= v.cool_until[i] {
-                    v.states[i] = AgentState::Active;
-                }
-            }
-            AgentState::Recovery => {
-                v.states[i] = AgentState::Active;
-                st.occ_idle += 1;
-                st.tasks += 1.0;
-            }
-        }
-    }
+    st.occ_sprinting = st.n_sprinters;
     st
+}
+
+/// The fused kernel's decide pass over one work block:
+/// `sprinted[j] = active & unblocked & over(j)`, and each agent's
+/// unscaled epoch tasks (its utility if it sprints, else 1.0), as
+/// straight-line lane arithmetic the compiler vectorizes — the tasks pick
+/// is a vector blend, where a scalar float select would be a branch.
+/// Returns the decisions made: the active, unblocked agents.
+#[inline(always)]
+fn decide_block(
+    epoch: usize,
+    states: &[AgentState],
+    blocked: &[usize],
+    phase: &[f64],
+    sprinted: &mut [bool],
+    tasks: &mut [f64],
+    over: impl Fn(usize) -> bool,
+) -> u32 {
+    let n = sprinted.len();
+    let (states, blocked, phase, tasks) =
+        (&states[..n], &blocked[..n], &phase[..n], &mut tasks[..n]);
+    let mut decisions = 0;
+    for j in 0..n {
+        let decides = (states[j] == AgentState::Active) & (epoch >= blocked[j]);
+        let sprint = decides & over(j);
+        decisions += u32::from(decides);
+        sprinted[j] = sprint;
+        tasks[j] = if sprint { phase[j] } else { 1.0 };
+    }
+    decisions
 }
 
 /// Run one chunk of agents; lane index `i` is agent `base + i`.
@@ -1036,8 +1091,8 @@ fn run_chunk(
                     // Cooling duration, drawn once at sprint time: the
                     // same geometric law as a per-epoch exit draw, so
                     // parked agents below cost one load and compare.
-                    let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                    let w = ctx.draws.cooling.word(agent, epoch, 0);
+                    v.cool_until[i] = epoch + ctx.cool_gap.gap(w >> 11);
                 } else {
                     st.occ_idle += 1;
                     st.tasks += 1.0;
@@ -1058,8 +1113,8 @@ fn run_chunk(
                             // Cooling restarts from the release epoch;
                             // geometric memorylessness makes this the
                             // same law as resuming per-epoch exit draws.
-                            let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                            v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                            let w = ctx.draws.cooling.word(agent, epoch, 0);
+                            v.cool_until[i] = epoch + ctx.cool_gap.gap(w >> 11);
                         }
                     }
                 } else if epoch >= v.cool_until[i] {
@@ -1198,7 +1253,7 @@ struct PassConstants<'a> {
     draws: &'a Draws,
     phases: &'a PhaseKernel,
     estimation: UtilityEstimation,
-    cool_scale: f64,
+    cool_gap: &'a GapTable,
     decider: Option<&'a StaticDecider>,
     chunk: usize,
 }
@@ -1215,7 +1270,7 @@ impl<'a> PassConstants<'a> {
             phases: self.phases,
             estimation: self.estimation,
             rack_recovering: ticket & 0b01 != 0,
-            cool_scale: self.cool_scale,
+            cool_gap: self.cool_gap,
             decider: self.decider,
             mode: if fused {
                 KernelMode::Fused
@@ -1334,7 +1389,7 @@ fn arrive_span(
     for (i, (p, next)) in phase.iter_mut().zip(next_change.iter_mut()).enumerate() {
         let a = base + i;
         *p = streams[a].phase_value();
-        *next = phases.gap(a, phases.keys[a].uniform(PHASE_SETUP_EPOCH, 0));
+        *next = phases.gap(a, phases.keys[a].word(PHASE_SETUP_EPOCH, 0));
     }
 }
 
@@ -1617,8 +1672,8 @@ fn post_decide_pass(
                                 }
                             }
                             v.states[i] = AgentState::Cooling;
-                            let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                            v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                            let w = ctx.draws.cooling.word(agent, epoch, 0);
+                            v.cool_until[i] = epoch + ctx.cool_gap.gap(w >> 11);
                         }
                     } else {
                         st.occ_idle += 1;
@@ -1633,8 +1688,8 @@ fn post_decide_pass(
                             if let Some(s) = ctx.plan.stuck {
                                 if ctx.draws.stick.uniform(agent, epoch, 0) >= s.p_stuck_stay {
                                     v.stuck[i] = false;
-                                    let u = ctx.draws.cooling.uniform(agent, epoch, 0);
-                                    v.cool_until[i] = epoch + geometric_gap(u, ctx.cool_scale);
+                                    let w = ctx.draws.cooling.word(agent, epoch, 0);
+                                    v.cool_until[i] = epoch + ctx.cool_gap.gap(w >> 11);
                                 }
                             }
                         } else if epoch >= v.cool_until[i] {
@@ -1812,7 +1867,7 @@ pub fn run_guarded(
     };
     // Exit prob is 1 - p_cooling, so ln(1 - p_exit) = ln(p_cooling);
     // p_cooling = 0 gives scale -0.0 and one-epoch cooldowns, correctly.
-    let cool_scale = config.game.p_cooling().ln().recip();
+    let cool_gap = GapTable::new(config.game.p_cooling().ln().recip());
     let p_recover_exit = 1.0 - config.game.p_recovery();
 
     // Telemetry gates, hoisted out of the hot loop: with a disabled kit
@@ -1877,7 +1932,7 @@ pub fn run_guarded(
         draws: &draws,
         phases: &phases,
         estimation: config.options.estimation,
-        cool_scale,
+        cool_gap: &cool_gap,
         decider: decider.as_ref(),
         chunk,
     };
@@ -1927,7 +1982,7 @@ pub fn run_guarded(
                 phases: &phases,
                 estimation: config.options.estimation,
                 rack_recovering,
-                cool_scale,
+                cool_gap: &cool_gap,
                 decider: decider.as_ref(),
                 mode: if fused {
                     KernelMode::Fused

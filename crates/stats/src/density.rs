@@ -526,17 +526,19 @@ impl AliasSampler {
     /// Draw one value from two uniforms in `[0, 1)`: `u_bin` selects the
     /// bin through the alias table, `u_pos` places the value uniformly
     /// inside it.
+    ///
+    /// The alias is loaded unconditionally and the accept test picks the
+    /// bin by select, so the draw has no data-dependent branch: the
+    /// acceptance outcome is close to a coin flip per draw, which a
+    /// branch would mispredict about as often as not.
     #[inline]
     #[must_use]
     pub fn sample(&self, u_bin: f64, u_pos: f64) -> f64 {
         let scaled = u_bin * self.prob.len() as f64;
         let j = (scaled as usize).min(self.prob.len() - 1);
         let frac = scaled - j as f64;
-        let bin = if frac < self.prob[j] {
-            j
-        } else {
-            self.alias[j] as usize
-        };
+        let alias = self.alias[j] as usize;
+        let bin = std::hint::select_unpredictable(frac < self.prob[j], j, alias);
         self.lo + (bin as f64 + u_pos) * self.dx
     }
 }
@@ -911,5 +913,56 @@ mod tests {
             (mean_alias - mean_q).abs() < 5e-3,
             "{mean_alias} vs {mean_q}"
         );
+    }
+
+    #[test]
+    fn alias_select_form_matches_the_branch_form() {
+        // The reference: the accept-or-alias choice written as a branch.
+        fn branch_form(a: &AliasSampler, u_bin: f64, u_pos: f64) -> f64 {
+            let scaled = u_bin * a.prob.len() as f64;
+            let j = (scaled as usize).min(a.prob.len() - 1);
+            let frac = scaled - j as f64;
+            let bin = if frac < a.prob[j] {
+                j
+            } else {
+                a.alias[j] as usize
+            };
+            a.lo + (bin as f64 + u_pos) * a.dx
+        }
+        let pdf: Vec<f64> = (0..1024)
+            .map(|i| 1.0 + (i as f64 * 0.37).sin().abs() * 3.0 + f64::from(i % 7 == 0))
+            .collect();
+        let d = DiscreteDensity::new(0.5, 9.5, pdf).unwrap();
+        let a = AliasSampler::new(&d);
+        let n = a.prob.len() as f64;
+        let mut checked = 0;
+        for j in 0..a.prob.len() {
+            let at = (j as f64 + a.prob[j]) / n;
+            // The bin's left edge, the accept threshold and both of its
+            // neighbours, and just below the right edge.
+            for u_bin in [
+                j as f64 / n,
+                at,
+                at.next_down(),
+                at.next_up(),
+                ((j + 1) as f64 / n).next_down(),
+            ] {
+                if !(0.0..1.0).contains(&u_bin) {
+                    continue;
+                }
+                for u_pos in [0.0, 0.5, 1.0 - f64::EPSILON] {
+                    let (x, y) = (a.sample(u_bin, u_pos), branch_form(&a, u_bin, u_pos));
+                    assert_eq!(x.to_bits(), y.to_bits(), "bin {j}, u_bin {u_bin}");
+                    checked += 1;
+                }
+            }
+        }
+        for u_bin in [0.0, 1.0 - f64::EPSILON / 2.0, 1.0 - f64::EPSILON] {
+            assert_eq!(
+                a.sample(u_bin, 0.25).to_bits(),
+                branch_form(&a, u_bin, 0.25).to_bits()
+            );
+        }
+        assert!(checked > 4 * 1024 * 3, "{checked} draws compared");
     }
 }

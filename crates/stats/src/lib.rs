@@ -10,6 +10,8 @@
 //! - [`density`] — [`DiscreteDensity`](density::DiscreteDensity), a density
 //!   discretized on a uniform grid. This is the `f(u)` representation the
 //!   game's Bellman solver integrates against.
+//! - [`geometric`] — geometric waiting times by inversion, with an exact
+//!   `ln`-free table form for the simulator's event scheduling.
 //! - [`histogram`] — fixed-bin histograms and quantiles.
 //! - [`kde`] — Gaussian kernel density estimation (paper Figure 10).
 //! - [`markov`] — finite Markov chains and stationary distributions
@@ -37,6 +39,7 @@
 
 pub mod density;
 pub mod dist;
+pub mod geometric;
 pub mod histogram;
 pub mod kde;
 pub mod linalg;

@@ -222,14 +222,6 @@ impl CounterLane {
         let z = finalize(self.z1 ^ epoch.wrapping_mul(0xD133_7B3B_24AF_F163));
         finalize(z ^ slot.wrapping_mul(0x8CB9_2BA7_2F3D_8DD7) ^ 0x6A09_E667_F3BC_C909)
     }
-
-    /// A uniform draw in `[0, 1)` at `(epoch, slot)` — identical to
-    /// [`CounterRng::uniform`] for the lane's agent.
-    #[inline]
-    #[must_use]
-    pub fn uniform(&self, epoch: u64, slot: u64) -> f64 {
-        (self.word(epoch, slot) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -358,10 +350,6 @@ mod tests {
             for epoch in [0u64, 1, 63, u64::MAX] {
                 for slot in [0u64, 1, 2] {
                     assert_eq!(lane.word(epoch, slot), rng.word(agent, epoch, slot));
-                    assert_eq!(
-                        lane.uniform(epoch, slot).to_bits(),
-                        rng.uniform(agent, epoch, slot).to_bits()
-                    );
                 }
             }
         }
